@@ -37,7 +37,6 @@ use stellar_bench::durable;
 use stellar_bench::harness::{
     self, interrupt, ConsolidateCtx, ExperimentStatus, ScheduleOptions, MANIFEST_FILE, SUMMARY_FILE,
 };
-use stellar_bench::profile;
 use stellar_bench::report::out_dir;
 
 const USAGE: &str = "\
@@ -61,11 +60,6 @@ usage: run_all [options]
       --chaos SPEC   deterministic fault injection, e.g.
                      seed=7,kill=0.3,hang=0.1,corrupt=0.2,first=1
       --fixed-wall-ms MS  pin every wall-clock field (byte-stable output)
-      --profile      after the suite, run the telemetry/profiling pass
-                     (search funnel, worker stats, engine gauges, perf
-                     sentinel) and write envelope-sealed out/profile.json
-      --tolerance F  sentinel tolerance as a fraction below the committed
-                     baseline that still passes (default 0.5)
       --validate     verify every envelope under the out dir and exit";
 
 /// Everything the CLI decided.
@@ -74,8 +68,6 @@ struct Cli {
     resume: bool,
     requested_nonce: Option<String>,
     validate: bool,
-    profile: bool,
-    tolerance: f64,
 }
 
 /// Parses the argument list into a [`Cli`].
@@ -88,9 +80,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut resume = false;
     let mut requested_nonce = None;
     let mut validate = false;
-    let mut profile = false;
     let mut cache = false;
-    let mut tolerance = stellar_bench::profile::DEFAULT_TOLERANCE;
 
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -103,15 +93,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--trace" => opts.trace = true,
             "--resume" => resume = true,
             "--validate" => validate = true,
-            "--profile" => profile = true,
-            "--tolerance" => {
-                let v = take(a)?;
-                tolerance = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && (0.0..=1.0).contains(t))
-                    .ok_or_else(|| format!("invalid tolerance {v:?} (expected 0..=1)"))?;
-            }
             "-j" | "--jobs" => {
                 let v = take(a)?;
                 opts.jobs = v
@@ -172,8 +153,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         resume,
         requested_nonce,
         validate,
-        profile,
-        tolerance,
     })
 }
 
@@ -283,24 +262,6 @@ fn main() {
         // The run is complete; a later `--resume` must not splice these
         // reports into a new run, so retire the manifest.
         let _ = std::fs::remove_file(dir.join(MANIFEST_FILE));
-    }
-
-    if cli.profile && !interrupted {
-        // The profiling pass: search funnel + worker telemetry, engine
-        // introspection, stage timings, and the perf-regression sentinel
-        // against the committed BENCH_*.json baselines. The sentinel
-        // verdict lands in profile.json (CI gates on it with jq); the
-        // exit code stays the suite's.
-        let popts = profile::ProfileOptions {
-            jobs: opts.jobs,
-            tolerance: cli.tolerance,
-            ..profile::ProfileOptions::default()
-        };
-        let report = profile::run_profile(&popts);
-        profile::print_profile(&report);
-        if let Err(e) = profile::write_profile(&dir.join("profile.json"), &report) {
-            eprintln!("warning: could not write profile: {e}");
-        }
     }
 
     let failures: Vec<&str> = outcomes.iter().filter_map(|o| o.error.as_deref()).collect();

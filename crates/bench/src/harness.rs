@@ -565,8 +565,12 @@ fn launch_once(
                 wall_ms, opts.timeout_ms
             ),
         )),
-        Ok(false) => Err((ExperimentStatus::Failed, format!("{name}: exited nonzero"))),
-        Ok(true) => {
+        // A chaos kill counts even when a fast child exited before the
+        // signal landed, so the injected fault is deterministic.
+        Ok(clean) if !clean || fate == Fate::Kill => {
+            Err((ExperimentStatus::Failed, format!("{name}: exited nonzero")))
+        }
+        Ok(_) => {
             if fate == Fate::Corrupt {
                 // Chaos: the report survives the child but not the disk.
                 if let Some(i) = injector {

@@ -1,16 +1,16 @@
 //! Support library for the Stellar experiment harness.
 //!
 //! The actual experiments live in `src/bin/e*.rs` — one binary per table
-//! or figure of the paper (see `DESIGN.md` for the index) — and the
-//! Criterion benchmarks in `benches/`. This library holds the shared
-//! report-formatting helpers and the [`report`] pipeline that emits
-//! machine-readable per-experiment JSON for `run_all` to consolidate.
+//! or figure of the paper (see `DESIGN.md` for the index). This library
+//! holds the shared report-formatting helpers and the [`report`] pipeline
+//! that emits machine-readable per-experiment JSON for `run_all` to
+//! consolidate. Performance is measured by the separate `benchmark/`
+//! package (see `benchmark/README.md`), not by this crate.
 
 pub mod cache;
 pub mod chaos;
 pub mod durable;
 pub mod harness;
-pub mod profile;
 pub mod report;
 
 pub use report::{Report, ReportOptions};

@@ -12,7 +12,7 @@ use stellar_bench::cache::{DesignCache, DesignQuery};
 use stellar_bench::durable;
 use stellar_core::cache::QueryKey;
 use stellar_core::prelude::*;
-use stellar_core::{explore_dataflows_profiled, ExploreOptions, ExploreRun};
+use stellar_core::{explore_dataflows_profiled, ExploreFunnel, ExploreOptions, ExploreRun};
 
 /// A fresh scratch cache directory, removed and recreated per test.
 fn scratch(tag: &str) -> PathBuf {
@@ -39,6 +39,16 @@ fn image(run: &ExploreRun) -> String {
         .join("\n")
 }
 
+/// The funnel with the call-local cache counters cleared: what a served
+/// answer must share with the computed one.
+fn partitions(run: &ExploreRun) -> ExploreFunnel {
+    let mut f = run.funnel;
+    f.cache_hits = 0;
+    f.cache_misses = 0;
+    f.coalesced = 0;
+    f
+}
+
 /// Every corruption of the durable entry file must fall back to a clean
 /// recompute whose ranking equals the uncached oracle — never a stale or
 /// garbled serve, never an error surfaced to the caller.
@@ -49,10 +59,22 @@ fn corrupted_durable_entries_recompute_never_serve_stale() {
     let oracle = explore_dataflows_profiled(&func, &bounds, &opts).unwrap();
     let key = QueryKey::of(&func, &bounds, &opts);
 
-    // Prime the durable tier once, remember the healthy bytes.
+    // Prime the durable tier once, remember the healthy bytes. A healthy
+    // entry serves the oracle's ranking and funnel partitions from memory
+    // and, after a reopen, from disk.
     let entry_path = {
         let cache = DesignCache::open(&dir).unwrap();
         cache.explore(&func, &bounds, &opts).unwrap();
+        let memory = cache.explore(&func, &bounds, &opts).unwrap();
+        let disk = DesignCache::open(&dir)
+            .unwrap()
+            .explore(&func, &bounds, &opts)
+            .unwrap();
+        for (tier, run) in [("memory", &memory), ("disk", &disk)] {
+            assert_eq!(run.funnel.cache_hits, 1, "{tier} query missed");
+            assert_eq!(image(run), image(&oracle), "{tier} hit diverged");
+            assert_eq!(partitions(run), partitions(&oracle), "{tier} hit funnel");
+        }
         cache.entry_path(&key).unwrap()
     };
     let healthy = fs::read(&entry_path).unwrap();

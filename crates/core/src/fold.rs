@@ -165,7 +165,7 @@ impl ExploreFunnel {
     }
 
     /// Verifies the partition invariants, returning the first violated
-    /// equation as `Err` (for test assertions and the profile sentinel).
+    /// equation as `Err` (for test assertions and the benchmark's checks).
     ///
     /// # Errors
     ///

@@ -77,6 +77,21 @@ fn fast_path_is_byte_equal_to_reference_fold_at_max_coeff_1() {
             "parallelism={parallelism} diverged from the reference-fold ranking"
         );
     }
+    // The e20-scale query (`matmul(4,4,4)`, default options), pinned
+    // deterministically rather than sampled by the fold-equivalence
+    // proptest.
+    let f = Functionality::matmul(4, 4, 4);
+    let bounds = Bounds::from_extents(&[4, 4, 4]);
+    let e20 = ExploreOptions::default();
+    let oracle = byte_image(&explore_dataflows_reference(&f, &bounds, &e20).unwrap());
+    for parallelism in [0, 1] {
+        let opts = ExploreOptions { parallelism, ..e20 };
+        assert_eq!(
+            byte_image(&explore_dataflows(&f, &bounds, &opts).unwrap()),
+            oracle,
+            "e20 query at parallelism={parallelism} diverged from the reference fold"
+        );
+    }
 }
 
 #[test]
@@ -156,7 +171,12 @@ fn analytic_tier_toggle_is_byte_invisible() {
             byte_image(&off.results),
             "max_coeff={max_coeff}: analytic tier changed the ranking"
         );
+        // On matmul the closed forms handle every scored candidate.
         assert!(on.funnel.analytic_scored > 0, "max_coeff={max_coeff}");
+        assert_eq!(
+            on.funnel.analytic_scored, on.funnel.scored,
+            "max_coeff={max_coeff}"
+        );
         assert_eq!(off.funnel.analytic_scored, 0);
         assert_eq!(off.funnel.analytic_rejected, 0);
         let mut on_funnel = on.funnel;

@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -405,11 +405,14 @@ where
     /// `Err` carries the panic payload of the **lowest-indexed** panicking
     /// chunk — deterministic regardless of thread count, steal schedule,
     /// or completion order, so a panicking input reports the same failure
-    /// every run. Once any chunk panics, workers stop claiming new chunks
-    /// (in-flight chunks finish). Alongside the results it returns
-    /// per-worker telemetry ([`PoolStats`]); the counters cost two
-    /// `Instant` reads per *chunk*, noise next to the thousands of items
-    /// a chunk holds.
+    /// every run. A panic at chunk start `s` lowers a shared watermark to
+    /// `s` (`fetch_min`); workers then skip every chunk that starts above
+    /// the watermark but still run every chunk below it, so the
+    /// lowest-indexed panicking chunk always runs even when it sits
+    /// unclaimed in some deque at the time of the first panic. Alongside
+    /// the results it returns per-worker telemetry ([`PoolStats`]); the
+    /// counters cost two `Instant` reads per *chunk*, noise next to the
+    /// thousands of items a chunk holds.
     ///
     /// Scheduling is the work-stealing protocol from the module docs:
     /// chunks are dealt contiguously across per-worker deques (each deque
@@ -478,7 +481,10 @@ where
             .collect();
         debug_assert_eq!(boundary, n_chunks);
         let remaining = AtomicUsize::new(n_chunks);
-        let abort = AtomicBool::new(false);
+        // Start of the lowest-indexed chunk known to have panicked. It
+        // publishes no other data (payloads go through `panics`), and a
+        // stale read only skips less, so `Relaxed` suffices.
+        let watermark = AtomicUsize::new(usize::MAX);
         let chunks: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
         let worker_stats: Mutex<Vec<(usize, WorkerStats)>> = Mutex::new(Vec::new());
         type Payload = Box<dyn std::any::Any + Send>;
@@ -492,15 +498,12 @@ where
                 let panics = &panics;
                 let deques = &deques;
                 let remaining = &remaining;
-                let abort = &abort;
+                let watermark = &watermark;
                 scope.spawn(move || {
                     let worker_started = Instant::now();
                     let mut stats = WorkerStats::default();
                     let mut local: Vec<(usize, Vec<R>)> = Vec::new();
                     'work: loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
                         // Owner path: LIFO pop from the bottom of our own
                         // deque.
                         let mut job = deques[w].lock().ok().and_then(|mut dq| dq.pop_back());
@@ -538,6 +541,12 @@ where
                             std::thread::yield_now();
                             continue;
                         };
+                        if start > watermark.load(Ordering::Relaxed) {
+                            // A lower-indexed chunk already panicked, so
+                            // this chunk cannot change the reported error.
+                            remaining.fetch_sub(1, Ordering::Release);
+                            continue;
+                        }
                         let chunk_started = Instant::now();
                         match catch_unwind(AssertUnwindSafe(|| {
                             let mut out = Vec::with_capacity(end - start);
@@ -555,11 +564,11 @@ where
                                 remaining.fetch_sub(1, Ordering::Release);
                             }
                             Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
+                                watermark.fetch_min(start, Ordering::Relaxed);
                                 if let Ok(mut p) = panics.lock() {
                                     p.push((start, payload));
                                 }
-                                break;
+                                remaining.fetch_sub(1, Ordering::Release);
                             }
                         }
                     }
@@ -660,6 +669,7 @@ where
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn range_map_collect_preserves_order() {
@@ -768,6 +778,36 @@ mod tests {
                 .try_collect_vec();
             assert_eq!(res.unwrap_err().message, "boom at 1000");
         }
+    }
+
+    #[test]
+    fn unclaimed_lower_panic_still_wins() {
+        // Worker 0 is dealt items 0..32 and worker 1 items 32..64. Worker 0
+        // holds item 0 until item 28 has run, so item 28 can only run on
+        // worker 1, stolen from worker 0's deque after worker 1 panicked on
+        // item 32. The deadline only bounds the wait for a scheduler that
+        // stops after the first panic; it then reports item 32.
+        let reached = AtomicBool::new(false);
+        let res = (0..64usize)
+            .into_par_iter()
+            .with_max_threads(2)
+            .map(|i| {
+                if i == 0 {
+                    let deadline = Instant::now() + std::time::Duration::from_secs(2);
+                    while !reached.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
+                if i == 28 {
+                    reached.store(true, Ordering::SeqCst);
+                }
+                if i == 28 || i == 32 {
+                    panic!("boom at {i}");
+                }
+                i
+            })
+            .try_collect_vec();
+        assert_eq!(res.unwrap_err().message, "boom at 28");
     }
 
     #[test]

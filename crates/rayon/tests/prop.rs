@@ -73,7 +73,7 @@ proptest! {
 
     /// Panic isolation: one panicking item surfaces as `Err(Panicked)`
     /// carrying that item's message, and a clean run issued immediately
-    /// afterwards still conserves all of its counters — the abort path
+    /// afterwards still conserves all of its counters — the panic path
     /// leaves no residue in thread-local or global state.
     #[test]
     fn panic_isolation_preserves_counter_conservation(

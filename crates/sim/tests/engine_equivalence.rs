@@ -327,8 +327,8 @@ fn sparse_deadlock_is_byte_identical() {
     assert_eq!(got, want);
 }
 
-/// The e04-scale workloads (the sweep the speedup criterion is measured
-/// on) run byte-identically through both paths under every policy.
+/// The e04-scale workloads (the exact E4 load-balance grid) run
+/// byte-identically through both paths under every policy.
 #[test]
 fn e04_scale_workloads_are_byte_identical() {
     let workloads = [
