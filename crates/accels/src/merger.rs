@@ -7,10 +7,8 @@
 //! partial matrices ... can have highly imbalanced row-lengths", which is
 //! exactly what hurts the cheaper row-partitioned merger.
 
-use stellar_sim::{
-    rows_of_partials, FlattenedMerger, MergeStats, Merger, RowPartitionedMerger, SimError,
-};
-use stellar_tensor::ops::spgemm_outer_partials;
+use stellar_sim::{FlattenedMerger, MergeStats, Merger, RowPartitionedMerger, SimError};
+use stellar_tensor::ops::Fiber;
 use stellar_tensor::{CscMatrix, CsrMatrix};
 use stellar_workloads::SuiteMatrix;
 
@@ -37,14 +35,46 @@ impl MergerComparison {
 /// Produces the merge batches for `A·A` in SpArch's execution order:
 /// partial matrices from consecutive groups of `ways` columns are merged
 /// together, group by group.
-pub fn sparch_merge_batches(
-    a: &CsrMatrix,
-    ways: usize,
-) -> Vec<Vec<Vec<stellar_tensor::ops::Fiber>>> {
-    let partials = spgemm_outer_partials(&CscMatrix::from_csr(a), a);
-    partials
-        .chunks(ways.max(1))
-        .map(|chunk| rows_of_partials(a.rows(), chunk))
+///
+/// Each batch holds, per output row, one fiber per partial matrix reaching
+/// that row: column `k` of `A` times row `k`, exactly-zero products
+/// dropped. Groups are taken over the `k` whose column and row are both
+/// non-empty: the partial matrices
+/// [`spgemm_outer_partials`](stellar_tensor::ops::spgemm_outer_partials)
+/// emits.
+///
+/// # Panics
+///
+/// Panics if `a` is not square.
+pub fn sparch_merge_batches(a: &CsrMatrix, ways: usize) -> Vec<Vec<Vec<Fiber>>> {
+    assert_eq!(a.cols(), a.rows(), "inner dimensions must agree");
+    let a_csc = CscMatrix::from_csr(a);
+    let ks: Vec<usize> = (0..a.cols())
+        .filter(|&k| a_csc.col_len(k) > 0 && a.row_len(k) > 0)
+        .collect();
+    ks.chunks(ways.max(1))
+        .map(|group| {
+            let mut rows: Vec<Vec<Fiber>> = vec![Vec::new(); a.rows()];
+            for &k in group {
+                let (is, avs) = a_csc.col(k);
+                let (js, bvs) = a.row(k);
+                for (&i, &av) in is.iter().zip(avs) {
+                    let mut coords = Vec::with_capacity(js.len());
+                    let mut values = Vec::with_capacity(js.len());
+                    for (&j, &bv) in js.iter().zip(bvs) {
+                        let p = av * bv;
+                        if p != 0.0 {
+                            coords.push(j);
+                            values.push(p);
+                        }
+                    }
+                    if !coords.is_empty() {
+                        rows[i].push(Fiber::new(coords, values));
+                    }
+                }
+            }
+            rows
+        })
         .collect()
 }
 
@@ -89,7 +119,9 @@ pub fn compare_on_suite_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stellar_sim::rows_of_partials;
     use stellar_tensor::gen;
+    use stellar_tensor::ops::spgemm_outer_partials;
     use stellar_workloads::suite;
 
     #[test]
@@ -135,6 +167,55 @@ mod tests {
         let c = compare_mergers(&a, 16).unwrap();
         assert!(c.flattened_epc <= 16.0 + 1e-9);
         assert!(c.row_partitioned_epc <= 32.0 + 1e-9);
+    }
+
+    /// The replaced construction: materialize every partial matrix, split
+    /// each into per-row fibers, chunk over the partial list.
+    fn oracle_batches(a: &CsrMatrix, ways: usize) -> Vec<Vec<Vec<Fiber>>> {
+        let partials = spgemm_outer_partials(&CscMatrix::from_csr(a), a);
+        partials
+            .chunks(ways.max(1))
+            .map(|chunk| rows_of_partials(a.rows(), chunk))
+            .collect()
+    }
+
+    #[test]
+    fn batches_match_partials_oracle() {
+        // Column and row 1 hold only 1e-200: their partial matrix
+        // underflows to all zeros but still counts toward a group. In
+        // partial 2 only the 1e-200 × 1e-200 product vanishes.
+        let mut coo = stellar_tensor::CooMatrix::new(6, 6);
+        for (r, c, v) in [
+            (0, 1, 1e-200),
+            (1, 1, 1e-200),
+            (0, 3, 3.0),
+            (2, 0, 2.0),
+            (2, 2, 1e-200),
+            (2, 4, 5.0),
+            (3, 2, -1.0),
+            (4, 4, 0.5),
+            (4, 5, 1.5),
+            (5, 3, 7.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let tiny = CsrMatrix::from_coo(&coo);
+        let cases = [
+            tiny,
+            gen::uniform(48, 48, 0.12, 4),
+            gen::power_law(64, 64, 5.0, 1.8, 6),
+        ];
+        for a in &cases {
+            for ways in [0, 1, 2, 3, 8, 64] {
+                let got = sparch_merge_batches(a, ways);
+                assert_eq!(got, oracle_batches(a, ways), "ways {ways}");
+            }
+        }
+        // The underflowing partial is what shifts the group boundaries.
+        let zero_partial = spgemm_outer_partials(&CscMatrix::from_csr(&cases[0]), &cases[0])
+            .iter()
+            .any(|p| p.nnz() == 0);
+        assert!(zero_partial, "expected a partial matrix with no entries");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! request.
 
 use stellar_sim::DmaModel;
-use stellar_tensor::{CscMatrix, CsrMatrix};
+use stellar_tensor::CsrMatrix;
 use stellar_workloads::SuiteMatrix;
 
 /// Configuration of the OuterSPACE-class run.
@@ -78,6 +78,10 @@ pub struct OuterSpaceResult {
     pub gflops: f64,
 }
 
+/// The largest dimension of the synthetic instances the OuterSPACE
+/// experiments run on: tractable, while preserving row statistics.
+pub const OUTERSPACE_MAX_DIM: usize = 4096;
+
 /// Runs `A·A` through the phase model for a synthetic instance of the
 /// given SuiteSparse matrix.
 pub fn outerspace_throughput(
@@ -85,22 +89,17 @@ pub fn outerspace_throughput(
     cfg: &OuterSpaceConfig,
     seed: u64,
 ) -> OuterSpaceResult {
-    // Keep instances tractable while preserving row statistics.
-    let a = m.instantiate(4096, seed);
+    let a = m.instantiate(OUTERSPACE_MAX_DIM, seed);
     outerspace_throughput_on(&a, cfg)
 }
 
 /// Runs `A·A` on a concrete matrix.
 pub fn outerspace_throughput_on(a: &CsrMatrix, cfg: &OuterSpaceConfig) -> OuterSpaceResult {
-    let a_csc = CscMatrix::from_csr(a);
-    let n = a.rows().min(a.cols());
-
     // Partial-product statistics: one partial vector per (k, row of A
     // column k); vector length = nnz(row k of A).
     let mut partial_products: u64 = 0;
     let mut num_vectors: u64 = 0;
-    for k in 0..n {
-        let col_nnz = a_csc.col_len(k) as u64;
+    for (k, col_nnz) in col_lengths(a).into_iter().take(a.rows()).enumerate() {
         let row_nnz = a.row_len(k) as u64;
         partial_products += col_nnz * row_nnz;
         num_vectors += if row_nnz > 0 { col_nnz } else { 0 };
@@ -139,6 +138,19 @@ pub fn outerspace_throughput_on(a: &CsrMatrix, cfg: &OuterSpaceConfig) -> OuterS
         pointer_cycles: pointer_reads,
         gflops: flops as f64 / secs / 1e9,
     }
+}
+
+/// The length of every column of `a`'s CSC without building it: a
+/// histogram of the stored column indices, skipping explicit zeros (which
+/// the CSC conversion drops).
+fn col_lengths(a: &CsrMatrix) -> Vec<u64> {
+    let mut lens = vec![0u64; a.cols()];
+    for (&c, &v) in a.col_idx().iter().zip(a.values()) {
+        if v != 0.0 {
+            lens[c] += 1;
+        }
+    }
+    lens
 }
 
 /// Cycles for the control-dependent scattered pointer reads. Each read
@@ -223,9 +235,28 @@ mod tests {
     }
 
     #[test]
+    fn col_length_histogram_matches_csc() {
+        use stellar_tensor::gen;
+        use stellar_tensor::CscMatrix;
+        let stored_zeros = CsrMatrix::from_raw(
+            3,
+            4,
+            vec![0, 3, 3, 5],
+            vec![0, 1, 3, 1, 2],
+            vec![1.0, 0.0, 2.0, -0.0, 4.0],
+        );
+        for a in [stored_zeros, gen::power_law(40, 30, 4.0, 1.8, 2)] {
+            let csc = CscMatrix::from_csr(&a);
+            let want: Vec<u64> = (0..a.cols()).map(|c| csc.col_len(c) as u64).collect();
+            assert_eq!(col_lengths(&a), want);
+        }
+    }
+
+    #[test]
     fn flops_match_reference_partials() {
         use stellar_tensor::gen;
         use stellar_tensor::ops::spgemm_outer_partials;
+        use stellar_tensor::CscMatrix;
         let a = gen::uniform(64, 64, 0.1, 3);
         let partials = spgemm_outer_partials(&CscMatrix::from_csr(&a), &a);
         let want: u64 = 2 * partials.iter().map(|p| p.nnz() as u64).sum::<u64>();

@@ -2,7 +2,8 @@
 //! OuterSPACE accelerator on the SuiteSparse suite, before and after the
 //! DMA fix, against the hand-written design.
 
-use stellar_accels::{outerspace_throughput, OuterSpaceConfig};
+use stellar_accels::outerspace::{outerspace_throughput_on, OUTERSPACE_MAX_DIM};
+use stellar_accels::OuterSpaceConfig;
 use stellar_bench::{table, Report};
 use stellar_workloads::suite;
 
@@ -20,9 +21,11 @@ fn main() {
     let (mut d_sum, mut f_sum, mut h_sum, mut ptr_frac_sum) = (0.0, 0.0, 0.0, 0.0);
     let mats = suite();
     for (n, m) in mats.iter().enumerate() {
-        let d = outerspace_throughput(m, &default_cfg, 100 + n as u64);
-        let f = outerspace_throughput(m, &fixed_cfg, 100 + n as u64);
-        let h = outerspace_throughput(m, &hand_cfg, 100 + n as u64);
+        // One instance per matrix, shared by all three configurations.
+        let a = m.instantiate(OUTERSPACE_MAX_DIM, 100 + n as u64);
+        let d = outerspace_throughput_on(&a, &default_cfg);
+        let f = outerspace_throughput_on(&a, &fixed_cfg);
+        let h = outerspace_throughput_on(&a, &hand_cfg);
         d_sum += d.gflops;
         f_sum += f.gflops;
         h_sum += h.gflops;

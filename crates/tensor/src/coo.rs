@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::assemble::{compress, triples};
 use crate::dense::DenseMatrix;
 
 /// A coordinate-list sparse matrix: an unordered bag of `(row, col, value)`
@@ -45,6 +46,15 @@ impl CooMatrix {
         }
     }
 
+    /// An empty matrix with room for `capacity` entries.
+    pub fn with_capacity(rows: usize, cols: usize, capacity: usize) -> CooMatrix {
+        CooMatrix {
+            rows,
+            cols,
+            entries: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends an entry. Duplicate coordinates are allowed and are summed by
     /// [`CooMatrix::compact`] and by conversions.
     ///
@@ -72,22 +82,15 @@ impl CooMatrix {
     }
 
     /// Iterates over the stored `(row, col, value)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + Clone + '_ {
         self.entries.iter().copied()
     }
 
-    /// Sorts entries row-major, sums duplicates, and drops explicit zeros.
+    /// Sorts entries row-major, sums duplicates (in insertion order), and
+    /// drops explicit zeros, in O(nnz + rows).
     pub fn compact(&mut self) {
-        self.entries.sort_by_key(|a| (a.0, a.1));
-        let mut out: Vec<(usize, usize, f64)> = Vec::with_capacity(self.entries.len());
-        for &(r, c, v) in &self.entries {
-            match out.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => out.push((r, c, v)),
-            }
-        }
-        out.retain(|e| e.2 != 0.0);
-        self.entries = out;
+        let c = compress(self.rows, self.iter());
+        self.entries = triples(&c.ptr, &c.idx, &c.vals).collect();
     }
 
     /// Builds from a dense matrix, keeping the non-zero entries.
@@ -115,13 +118,8 @@ impl CooMatrix {
 
     /// Length of each row, after summing duplicates and dropping zeros.
     pub fn row_lengths(&self) -> Vec<usize> {
-        let mut m = self.clone();
-        m.compact();
-        let mut lens = vec![0usize; self.rows];
-        for (r, _, _) in m.iter() {
-            lens[r] += 1;
-        }
-        lens
+        let c = compress(self.rows, self.iter());
+        c.ptr.windows(2).map(|w| w[1] - w[0]).collect()
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::assemble::{compress, triples, Compressed};
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -39,26 +40,34 @@ impl CscMatrix {
         CscMatrix::from_coo(&CooMatrix::from_dense(d))
     }
 
-    /// Builds from a COO matrix (duplicates summed, zeros dropped).
+    /// Builds from a COO matrix (duplicates summed in insertion order, zeros
+    /// dropped) in O(nnz + cols).
     pub fn from_coo(coo: &CooMatrix) -> CscMatrix {
-        // Sort column-major by building the CSR of the transpose.
-        let mut t = CooMatrix::new(coo.cols(), coo.rows());
-        for (r, c, v) in coo.iter() {
-            t.push(c, r, v);
-        }
-        let csr_t = CsrMatrix::from_coo(&t);
-        CscMatrix {
-            rows: coo.rows(),
-            cols: coo.cols(),
-            col_ptr: csr_t.row_ptr().to_vec(),
-            row_idx: csr_t.col_idx().to_vec(),
-            values: csr_t.values().to_vec(),
-        }
+        let t = coo.iter().map(|(r, c, v)| (c, r, v));
+        CscMatrix::from_compressed(coo.rows(), coo.cols(), compress(coo.cols(), t))
     }
 
-    /// Builds from a CSR matrix.
+    /// Builds from a CSR matrix in O(nnz + cols). Explicit zeros are
+    /// dropped.
     pub fn from_csr(csr: &CsrMatrix) -> CscMatrix {
-        CscMatrix::from_coo(&csr.to_coo())
+        let t = csr.triples().map(|(r, c, v)| (c, r, v));
+        CscMatrix::from_compressed(csr.rows(), csr.cols(), compress(csr.cols(), t))
+    }
+
+    /// Builds the CSC of `A` from the CSR of `Aᵀ` (the same three arrays,
+    /// read column-major) in O(nnz + cols). Explicit zeros are dropped.
+    pub fn from_transposed_csr(t: &CsrMatrix) -> CscMatrix {
+        CscMatrix::from_compressed(t.cols(), t.rows(), compress(t.rows(), t.triples()))
+    }
+
+    fn from_compressed(rows: usize, cols: usize, c: Compressed) -> CscMatrix {
+        CscMatrix {
+            rows,
+            cols,
+            col_ptr: c.ptr,
+            row_idx: c.idx,
+            values: c.vals,
+        }
     }
 
     /// Number of rows.
@@ -103,6 +112,16 @@ impl CscMatrix {
         &self.col_ptr
     }
 
+    /// The raw row-index array.
+    pub fn row_idx(&self) -> &[usize] {
+        &self.row_idx
+    }
+
+    /// The raw values array.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Expands to a dense matrix.
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.rows, self.cols);
@@ -115,16 +134,10 @@ impl CscMatrix {
         d
     }
 
-    /// Converts to CSR.
+    /// Converts to CSR in O(nnz + rows).
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.rows, self.cols);
-        for c in 0..self.cols {
-            let (rows, vals) = self.col(c);
-            for (&r, &v) in rows.iter().zip(vals) {
-                coo.push(r, c, v);
-            }
-        }
-        CsrMatrix::from_coo(&coo)
+        let t = triples(&self.col_ptr, &self.row_idx, &self.values).map(|(c, r, v)| (r, c, v));
+        CsrMatrix::from_compressed(self.rows, self.cols, compress(self.rows, t))
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::assemble::{compress, triples, Compressed};
 use crate::coo::CooMatrix;
 use crate::dense::DenseMatrix;
 
@@ -84,28 +85,25 @@ impl CsrMatrix {
         CsrMatrix::from_coo(&CooMatrix::from_dense(d))
     }
 
-    /// Builds from a COO matrix (duplicates summed, zeros dropped).
+    /// Builds from a COO matrix (duplicates summed in insertion order, zeros
+    /// dropped) in O(nnz + rows).
     pub fn from_coo(coo: &CooMatrix) -> CsrMatrix {
-        let mut c = coo.clone();
-        c.compact();
-        let mut row_ptr = vec![0usize; coo.rows() + 1];
-        let mut col_idx = Vec::with_capacity(c.nnz());
-        let mut values = Vec::with_capacity(c.nnz());
-        for (r, col, v) in c.iter() {
-            row_ptr[r + 1] += 1;
-            col_idx.push(col);
-            values.push(v);
-        }
-        for r in 0..coo.rows() {
-            row_ptr[r + 1] += row_ptr[r];
-        }
+        CsrMatrix::from_compressed(coo.rows(), coo.cols(), compress(coo.rows(), coo.iter()))
+    }
+
+    pub(crate) fn from_compressed(rows: usize, cols: usize, c: Compressed) -> CsrMatrix {
         CsrMatrix {
-            rows: coo.rows(),
-            cols: coo.cols(),
-            row_ptr,
-            col_idx,
-            values,
+            rows,
+            cols,
+            row_ptr: c.ptr,
+            col_idx: c.idx,
+            values: c.vals,
         }
+    }
+
+    /// The stored `(row, col, value)` triples in row-major order.
+    pub(crate) fn triples(&self) -> impl Iterator<Item = (usize, usize, f64)> + Clone + '_ {
+        triples(&self.row_ptr, &self.col_idx, &self.values)
     }
 
     /// Number of rows.
@@ -197,26 +195,18 @@ impl CsrMatrix {
 
     /// Converts to COO.
     pub fn to_coo(&self) -> CooMatrix {
-        let mut coo = CooMatrix::new(self.rows, self.cols);
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                coo.push(r, c, v);
-            }
+        let mut coo = CooMatrix::with_capacity(self.rows, self.cols, self.nnz());
+        for (r, c, v) in self.triples() {
+            coo.push(r, c, v);
         }
         coo
     }
 
-    /// The transpose (equivalently: reinterprets this CSR as CSC of Aᵀ).
+    /// The transpose (equivalently: reinterprets this CSR as CSC of Aᵀ), in
+    /// O(nnz + rows + cols). Explicit zeros are dropped.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.cols, self.rows);
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                coo.push(c, r, v);
-            }
-        }
-        CsrMatrix::from_coo(&coo)
+        let t = self.triples().map(|(r, c, v)| (c, r, v));
+        CsrMatrix::from_compressed(self.cols, self.rows, compress(self.cols, t))
     }
 
     /// Sparse matrix × dense vector.

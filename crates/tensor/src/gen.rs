@@ -7,6 +7,9 @@
 //! banded, power-law row lengths, diagonal) rather than exact matrix
 //! contents.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -74,16 +77,59 @@ pub fn uniform(rows: usize, cols: usize, density: f64, seed: u64) -> CsrMatrix {
 pub fn uniform_nnz(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatrix {
     assert!(nnz <= rows * cols, "nnz exceeds matrix capacity");
     let mut r = rng(seed);
-    let mut coo = CooMatrix::new(rows, cols);
-    let mut seen = std::collections::HashSet::with_capacity(nnz);
+    let mut coo = CooMatrix::with_capacity(rows, cols, nnz);
+    let mut seen: HashSet<u64, BuildHasherDefault<CoordHasher>> =
+        HashSet::with_capacity_and_hasher(nnz, Default::default());
     while seen.len() < nnz {
         let i = r.range_usize(0, rows);
         let j = r.range_usize(0, cols);
-        if seen.insert((i, j)) {
+        if seen.insert((i * cols + j) as u64) {
             coo.push(i, j, nonzero_value(&mut r));
         }
     }
     CsrMatrix::from_coo(&coo)
+}
+
+/// Hashes [`uniform_nnz`]'s linearized coordinates with one SplitMix64
+/// step: the keys come from the in-tree RNG, so SipHash's resistance to
+/// chosen keys buys nothing.
+#[derive(Default)]
+struct CoordHasher(u64);
+
+impl Hasher for CoordHasher {
+    fn finish(&self) -> u64 {
+        Rng64::seed_from_u64(self.0).next_u64()
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("coordinates are hashed as u64")
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        self.0 = k;
+    }
+}
+
+/// Draws `len` distinct columns in `[0, cols)` for row `i`, pushing each
+/// new one with a fresh value: the rejection loop shared by
+/// [`power_law`] and [`imbalanced`]. `stamp[j] == i` marks column `j` as
+/// already drawn in this row, so one array serves every row.
+fn push_distinct_cols(
+    r: &mut Rng64,
+    coo: &mut CooMatrix,
+    stamp: &mut [usize],
+    i: usize,
+    len: usize,
+) {
+    let mut drawn = 0;
+    while drawn < len {
+        let j = r.range_usize(0, stamp.len());
+        if stamp[j] != i {
+            stamp[j] = i;
+            drawn += 1;
+            coo.push(i, j, nonzero_value(r));
+        }
+    }
 }
 
 /// A banded matrix in the style of FEM/PDE discretizations (e.g.
@@ -91,7 +137,7 @@ pub fn uniform_nnz(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatrix
 /// approximately `avg_row_len` entries per row.
 pub fn banded(n: usize, bandwidth: usize, avg_row_len: usize, seed: u64) -> CsrMatrix {
     let mut r = rng(seed);
-    let mut coo = CooMatrix::new(n, n);
+    let mut coo = CooMatrix::with_capacity(n, n, n * avg_row_len.max(1));
     for i in 0..n {
         // Diagonal entry always present, as in FEM stiffness matrices.
         coo.push(i, i, nonzero_value(&mut r));
@@ -116,21 +162,15 @@ pub fn banded(n: usize, bandwidth: usize, avg_row_len: usize, seed: u64) -> CsrM
 pub fn power_law(rows: usize, cols: usize, avg_row_len: f64, alpha: f64, seed: u64) -> CsrMatrix {
     assert!(alpha > 1.0, "alpha must exceed 1 for a finite mean");
     let mut r = rng(seed);
-    let mut coo = CooMatrix::new(rows, cols);
+    let mut coo = CooMatrix::with_capacity(rows, cols, (rows as f64 * avg_row_len) as usize);
+    let mut stamp = vec![usize::MAX; cols];
     // Pareto-distributed row lengths with mean scaled to avg_row_len.
     let pareto_mean = alpha / (alpha - 1.0);
     let scale = avg_row_len / pareto_mean;
     for i in 0..rows {
         let u: f64 = r.range_f64(f64::EPSILON, 1.0);
         let len = (scale * u.powf(-1.0 / alpha)).round() as usize;
-        let len = len.min(cols);
-        let mut cols_seen = std::collections::HashSet::new();
-        while cols_seen.len() < len {
-            let j = r.range_usize(0, cols);
-            if cols_seen.insert(j) {
-                coo.push(i, j, nonzero_value(&mut r));
-            }
-        }
+        push_distinct_cols(&mut r, &mut coo, &mut stamp, i, len.min(cols));
     }
     CsrMatrix::from_coo(&coo)
 }
@@ -138,7 +178,7 @@ pub fn power_law(rows: usize, cols: usize, avg_row_len: f64, alpha: f64, seed: u
 /// A square diagonal matrix (`Skip i and k when i != k`, Listing 2 line 5).
 pub fn diagonal(n: usize, seed: u64) -> CsrMatrix {
     let mut r = rng(seed);
-    let mut coo = CooMatrix::new(n, n);
+    let mut coo = CooMatrix::with_capacity(n, n, n);
     for i in 0..n {
         coo.push(i, i, nonzero_value(&mut r));
     }
@@ -157,16 +197,13 @@ pub fn imbalanced(
     seed: u64,
 ) -> CsrMatrix {
     let mut r = rng(seed);
-    let mut coo = CooMatrix::new(rows, cols);
+    let heavy_rows = heavy_rows.min(rows);
+    let nnz = heavy_rows * heavy_len.min(cols) + (rows - heavy_rows) * light_len.min(cols);
+    let mut coo = CooMatrix::with_capacity(rows, cols, nnz);
+    let mut stamp = vec![usize::MAX; cols];
     for i in 0..rows {
         let len = if i < heavy_rows { heavy_len } else { light_len }.min(cols);
-        let mut seen = std::collections::HashSet::new();
-        while seen.len() < len {
-            let j = r.range_usize(0, cols);
-            if seen.insert(j) {
-                coo.push(i, j, nonzero_value(&mut r));
-            }
-        }
+        push_distinct_cols(&mut r, &mut coo, &mut stamp, i, len);
     }
     CsrMatrix::from_coo(&coo)
 }

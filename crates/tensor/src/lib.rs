@@ -34,6 +34,7 @@
 //! assert_eq!(csr.to_dense(), a);
 //! ```
 
+mod assemble;
 mod bcsr;
 mod coo;
 mod csc;
