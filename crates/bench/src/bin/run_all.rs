@@ -51,11 +51,6 @@ usage: run_all [options]
       --nonce S      use this run nonce instead of a fresh one
       --only LIST    comma-separated subset of experiments to run, by id
                      or full name (e.g. --only e01,e04_load_balance,e20)
-      --cache        serve dataflow searches from the content-addressed
-                     design cache under out/cache (STELLAR_CACHE_DIR for
-                     every child); identical queries hit instead of
-                     recomputing
-      --no-cache     force every search to compute (the default)
       --exe-dir DIR  directory holding the experiment binaries
       --chaos SPEC   deterministic fault injection, e.g.
                      seed=7,kill=0.3,hang=0.1,corrupt=0.2,first=1
@@ -80,7 +75,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut resume = false;
     let mut requested_nonce = None;
     let mut validate = false;
-    let mut cache = false;
 
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -116,13 +110,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--chaos" => opts.chaos = Some(ChaosPlan::parse(&take(a)?)?),
             "--exe-dir" => opts.exe_dir = take(a)?.into(),
             "--fixed-wall-ms" => {
-                let v = take(a)?;
-                opts.fixed_wall_ms =
-                    Some(v.parse().map_err(|_| format!("invalid wall-clock {v:?}"))?);
+                let ms =
+                    harness::parse_fixed_wall_ms(&take(a)?).map_err(|e| format!("{e}\n{USAGE}"))?;
+                opts.fixed_wall_ms = Some(ms);
             }
             "--only" => opts.experiments = harness::select_experiments(&take(a)?)?,
-            "--cache" => cache = true,
-            "--no-cache" => cache = false,
             "--help" | "-h" => return Err(USAGE.into()),
             other => {
                 if let Some(v) = other.strip_prefix("--jobs=") {
@@ -142,11 +134,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
             }
         }
-    }
-    if cache {
-        // The durable design cache lives beside the reports and survives
-        // runs; children pick it up via STELLAR_CACHE_DIR.
-        opts.cache_dir = Some(opts.out_dir.join("cache"));
     }
     Ok(Cli {
         opts,

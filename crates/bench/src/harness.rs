@@ -38,7 +38,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::chaos::{ChaosInjector, ChaosPlan, Fate};
 use crate::durable;
-use crate::report::{CACHE_DIR_ENV, FIXED_WALL_ENV, OUT_DIR_ENV, RUN_NONCE_ENV, TRACE_ENV};
+use crate::report::{FIXED_WALL_ENV, OUT_DIR_ENV, RUN_NONCE_ENV, TRACE_ENV};
 
 /// Every experiment binary, in the paper's evaluation order.
 pub const EXPERIMENTS: &[&str] = &[
@@ -114,6 +114,22 @@ pub fn select_experiments(list: &str) -> Result<Vec<&'static str>, String> {
         return Err("--only selected no experiments".into());
     }
     Ok(picked)
+}
+
+/// Parses a pinned wall-clock value (`run_all --fixed-wall-ms` and
+/// `STELLAR_FIXED_WALL_MS`). Only finite, non-negative milliseconds are
+/// accepted: the value is printed into JSON reports with `{:.3}`, where
+/// NaN or infinity would make the report invalid JSON and `-0` would
+/// print as `-0.000`.
+///
+/// # Errors
+///
+/// A message naming the rejected value.
+pub fn parse_fixed_wall_ms(v: &str) -> Result<f64, String> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|ms| ms.is_finite() && ms.is_sign_positive())
+        .ok_or_else(|| format!("invalid wall-clock {v:?}: expected finite milliseconds >= 0"))
 }
 
 /// A nonce unique to this run: wall-clock nanoseconds plus the pid, so
@@ -276,10 +292,6 @@ pub struct ScheduleOptions {
     /// value (forwarded to children as `STELLAR_FIXED_WALL_MS`), so tests
     /// can compare consolidated documents byte-for-byte.
     pub fixed_wall_ms: Option<f64>,
-    /// Design-cache directory forwarded to children as
-    /// `STELLAR_CACHE_DIR` (`run_all --cache`); `None` leaves the cache
-    /// off and every search computes.
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl ScheduleOptions {
@@ -298,7 +310,6 @@ impl ScheduleOptions {
             retry_backoff_ms: 250,
             chaos: None,
             fixed_wall_ms: None,
-            cache_dir: None,
         }
     }
 }
@@ -515,9 +526,6 @@ fn launch_once(
     cmd.env(OUT_DIR_ENV, &opts.out_dir);
     if let Some(ms) = opts.fixed_wall_ms {
         cmd.env(FIXED_WALL_ENV, format!("{ms}"));
-    }
-    if let Some(dir) = &opts.cache_dir {
-        cmd.env(CACHE_DIR_ENV, dir);
     }
     cmd.stdin(Stdio::null())
         .stdout(Stdio::piped())
@@ -1055,6 +1063,15 @@ mod tests {
         assert!(!json.contains("987.654"));
         assert!(!json.contains("1.500"));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fixed_wall_ms_accepts_only_finite_non_negative_values() {
+        assert_eq!(parse_fixed_wall_ms("0"), Ok(0.0));
+        assert_eq!(parse_fixed_wall_ms("12.5"), Ok(12.5));
+        for bad in ["nan", "NaN", "inf", "-inf", "-1", "-0", "", "12ms"] {
+            assert!(parse_fixed_wall_ms(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

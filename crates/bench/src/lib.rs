@@ -7,7 +7,6 @@
 //! consolidate. Performance is measured by the separate `benchmark/`
 //! package (see `benchmark/README.md`), not by this crate.
 
-pub mod cache;
 pub mod chaos;
 pub mod durable;
 pub mod harness;

@@ -44,14 +44,6 @@ pub const RUN_NONCE_ENV: &str = "STELLAR_RUN_NONCE";
 /// set on normal runs.
 pub const FIXED_WALL_ENV: &str = "STELLAR_FIXED_WALL_MS";
 
-/// Environment variable carrying the design-cache directory (set by
-/// `run_all --cache`). Experiments that run dataflow searches route them
-/// through a [`stellar_bench::cache::DesignCache`] rooted here when set;
-/// unset means every search computes.
-///
-/// [`stellar_bench::cache::DesignCache`]: crate::cache::DesignCache
-pub const CACHE_DIR_ENV: &str = "STELLAR_CACHE_DIR";
-
 /// True when the harness was asked to collect traces.
 pub fn trace_enabled() -> bool {
     std::env::var(TRACE_ENV).map(|v| v != "0" && !v.is_empty()) == Ok(true)
@@ -69,19 +61,14 @@ pub fn run_nonce() -> Option<String> {
     std::env::var(RUN_NONCE_ENV).ok().filter(|s| !s.is_empty())
 }
 
-/// The pinned wall-clock `run_all` passed down, if any.
+/// The pinned wall-clock `run_all` passed down, if any. A value
+/// [`parse_fixed_wall_ms`] rejects counts as unset.
+///
+/// [`parse_fixed_wall_ms`]: crate::harness::parse_fixed_wall_ms
 pub fn fixed_wall_ms() -> Option<f64> {
     std::env::var(FIXED_WALL_ENV)
         .ok()
-        .and_then(|s| s.parse().ok())
-}
-
-/// The design-cache directory `run_all --cache` passed down, if any.
-pub fn cache_dir() -> Option<PathBuf> {
-    std::env::var(CACHE_DIR_ENV)
-        .ok()
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
+        .and_then(|s| crate::harness::parse_fixed_wall_ms(&s).ok())
 }
 
 /// Explicit report configuration — where artifacts go, whether spans are

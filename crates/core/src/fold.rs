@@ -76,11 +76,7 @@ pub fn summarize_array(arr: &SpatialArray) -> StructureSummary {
 /// informational (subsets of the partitioned buckets recording *which
 /// tier* did the work — the full fold, the packed fast path, or the
 /// closed-form analytical tier) and participate in neither sum; `check`
-/// holds them to their subset relations instead. The `cache_hits` /
-/// `cache_misses` / `coalesced` counters are likewise informational:
-/// they account for the design-cache layer *around* the search (PR 10)
-/// and stay zero on every uncached path, so funnel partitions remain
-/// byte-identical whether a result was computed or served. Shard funnels merge by
+/// holds them to their subset relations instead. Shard funnels merge by
 /// field-wise addition; the parallel merge then demotes shard-local
 /// survivors that lose global deduplication from `survivors` to
 /// `dedup_collisions`, so the funnel of a parallel search is
@@ -129,19 +125,6 @@ pub struct ExploreFunnel {
     ///
     /// [`ExploreOptions::keep`]: crate::explore::ExploreOptions::keep
     pub materialized: u64,
-    /// Queries answered from the design cache (memory or durable tier)
-    /// without running the scan. Informational, set by the cache layer —
-    /// the search itself always leaves it zero, and a cache hit carries
-    /// the *original* computation's partition counters unchanged.
-    pub cache_hits: u64,
-    /// Queries that missed the design cache and ran the scan (the cache
-    /// layer's accounting of this very computation). Informational.
-    pub cache_misses: u64,
-    /// Queries that piggybacked on an identical in-flight computation
-    /// (single-flight coalescing) instead of scanning or reading a
-    /// stored entry. Informational — coalesced queries also count as
-    /// `cache_hits`.
-    pub coalesced: u64,
 }
 
 impl ExploreFunnel {
@@ -159,9 +142,6 @@ impl ExploreFunnel {
         self.dedup_collisions = self.dedup_collisions.saturating_add(o.dedup_collisions);
         self.survivors = self.survivors.saturating_add(o.survivors);
         self.materialized = self.materialized.saturating_add(o.materialized);
-        self.cache_hits = self.cache_hits.saturating_add(o.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(o.cache_misses);
-        self.coalesced = self.coalesced.saturating_add(o.coalesced);
     }
 
     /// Verifies the partition invariants, returning the first violated
@@ -197,9 +177,6 @@ impl ExploreFunnel {
         }
         if self.analytic_rejected > self.over_max_pes {
             return Err("analytic_rejected exceeds over_max_pes");
-        }
-        if self.coalesced > self.cache_hits {
-            return Err("coalesced exceeds cache_hits");
         }
         Ok(())
     }
@@ -713,6 +690,56 @@ mod tests {
             assert_eq!(t.insert(round, 9), Some(7));
             // Keys from earlier generations are gone.
             assert_eq!(t.insert(round.wrapping_sub(1), 1), None);
+        }
+    }
+
+    #[test]
+    fn funnel_check_names_each_violated_invariant() {
+        let valid = ExploreFunnel {
+            decoded: 100,
+            causality_rejected: 40,
+            singular: 10,
+            pack_fallback: 3,
+            analytic_scored: 30,
+            analytic_rejected: 12,
+            collision_rejected: 5,
+            scored: 45,
+            over_max_pes: 20,
+            dedup_collisions: 15,
+            survivors: 10,
+            materialized: 5,
+        };
+        assert_eq!(valid.check(), Ok(()));
+        // Each corruption breaks exactly one invariant and leaves every
+        // invariant checked before it intact.
+        type Corrupt = fn(&mut ExploreFunnel);
+        let cases: [(Corrupt, &str); 6] = [
+            (|f| f.decoded += 1, "terminal buckets do not sum to decoded"),
+            (|f| f.survivors += 1, "outcome buckets do not sum to scored"),
+            (
+                |f| f.materialized = f.survivors + 1,
+                "materialized exceeds survivors",
+            ),
+            (
+                |f| f.analytic_scored = f.scored + 1,
+                "analytic_scored exceeds scored",
+            ),
+            (
+                |f| {
+                    f.analytic_scored = 10;
+                    f.analytic_rejected = 11;
+                },
+                "analytic_rejected exceeds analytic_scored",
+            ),
+            (
+                |f| f.analytic_rejected = f.over_max_pes + 1,
+                "analytic_rejected exceeds over_max_pes",
+            ),
+        ];
+        for (corrupt, want) in cases {
+            let mut f = valid;
+            corrupt(&mut f);
+            assert_eq!(f.check(), Err(want));
         }
     }
 

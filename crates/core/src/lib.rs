@@ -45,7 +45,6 @@
 
 pub mod analytic;
 pub mod balance;
-pub mod cache;
 pub mod design;
 pub mod error;
 pub mod exec;
@@ -68,9 +67,6 @@ pub mod transform;
 
 pub use analytic::{AnalyticScorer, AnalyticScratch};
 pub use balance::{Granularity, Region, ShiftSpec};
-pub use cache::{
-    parse_cache_entry, render_cache_entry, CacheEntry, CacheEntryError, QueryKey, CACHE_SCHEMA,
-};
 pub use design::{
     AcceleratorDesign, ConnDesign, DmaDesign, IoPortDesign, LoadBalancerDesign, MemBufferDesign,
     PortDir, RegfileDesign, SpatialArrayDesign,
